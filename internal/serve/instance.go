@@ -172,19 +172,16 @@ func newInstance(spec Spec, dir string, m *serverMetrics, rec *obs.Recorder, sna
 
 	logPath := filepath.Join(dir, LogName)
 	if _, err := os.Stat(logPath); err == nil {
-		rounds, err := readLog(logPath, hash)
-		if err != nil {
-			return nil, err
-		}
 		snap, err := readSnapshot(filepath.Join(dir, SnapshotName), hash)
 		if err != nil {
 			return nil, err
 		}
-		if err := replayLog(b, &spec, rounds, snap); err != nil {
-			in.emit(obs.Jot(obs.EvInstanceRestore, spec.ID, -1, len(rounds), "refused: %v", err))
+		sc, err := replayLog(b, &spec, logPath, snap)
+		if err != nil {
+			in.emit(obs.Jot(obs.EvInstanceRestore, spec.ID, -1, sc.Rounds, "refused: %v", err))
 			return nil, err
 		}
-		in.log, err = reopenLog(logPath, hash, len(rounds))
+		in.log, err = reopenLog(logPath, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -213,6 +210,19 @@ func newInstance(spec Spec, dir string, m *serverMetrics, rec *obs.Recorder, sna
 
 // Stats returns the latest published snapshot; never nil.
 func (in *Instance) Stats() *InstanceStats { return in.stats.Load() }
+
+// command hands the writer goroutine a snapshot, stop or kill command
+// and waits for its acknowledgement; an instance that has already
+// stopped returns nil.
+func (in *Instance) command(kind cmdKind) error {
+	done := make(chan error, 1)
+	select {
+	case in.mailbox <- icmd{kind: kind, done: done}:
+		return <-done
+	case <-in.stopped:
+		return nil
+	}
+}
 
 func (in *Instance) emit(e obs.Event) {
 	if in.rec != nil {

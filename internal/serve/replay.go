@@ -12,16 +12,14 @@ import (
 	"netbandit/internal/sim"
 )
 
-// replayLog drives a freshly built runner through the logged rounds,
-// proving the log re-derives the served history: every Decide must
-// return exactly the logged (t, action), env-mode feedback must resample
-// bit-identical values, and when a snapshot exists the aggregate state
-// at its round must reproduce it byte-for-byte. Any divergence is an
-// error; the caller must refuse to serve.
-func replayLog(b *built, spec *Spec, rounds []decRound, snap *Snapshot) error {
-	if snap != nil && snap.Rounds > len(rounds) {
-		return fmt.Errorf("serve: snapshot at round %d is ahead of the %d-round log", snap.Rounds, len(rounds))
-	}
+// replayLog streams the decision log at path through b, a freshly built
+// runner, proving the log re-derives the served history: every Decide
+// must return exactly the logged (t, action), env-mode feedback must
+// resample bit-identical values, and when a snapshot exists the
+// aggregate state at its round must reproduce it byte-for-byte. Any
+// divergence is an error; the caller must refuse to serve. The returned
+// scan locates where appending resumes.
+func replayLog(b *built, spec *Spec, path string, snap *Snapshot) (logScan, error) {
 	check := func() error {
 		if snap == nil || b.run.Round() != snap.Rounds {
 			return nil
@@ -36,9 +34,9 @@ func replayLog(b *built, spec *Spec, rounds []decRound, snap *Snapshot) error {
 		return nil
 	}
 	if err := check(); err != nil {
-		return err
+		return logScan{}, err
 	}
-	for _, r := range rounds {
+	sc, err := scanLog(path, spec.Hash(), func(r *decRound) error {
 		t, action, err := b.run.Decide()
 		if err != nil {
 			return fmt.Errorf("serve: replay round %d: %w", r.T, err)
@@ -65,16 +63,31 @@ func replayLog(b *built, spec *Spec, rounds []decRound, snap *Snapshot) error {
 						r.T, closure[i], o.Value, r.V[i])
 				}
 			}
-		} else {
-			if err := b.run.ApplyFeedback(r.V); err != nil {
-				return fmt.Errorf("serve: replay round %d: %w", r.T, err)
-			}
+		} else if err := b.run.ApplyFeedback(r.V); err != nil {
+			return fmt.Errorf("serve: replay round %d: %w", r.T, err)
 		}
-		if err := check(); err != nil {
-			return err
-		}
+		return check()
+	})
+	if err != nil {
+		return sc, err
 	}
-	return nil
+	if snap != nil && snap.Rounds > sc.Rounds {
+		return sc, fmt.Errorf("serve: snapshot at round %d is ahead of the %d-round log", snap.Rounds, sc.Rounds)
+	}
+	return sc, nil
+}
+
+// loadSpec reads and normalizes an instance directory's spec.
+func loadSpec(dir string) (Spec, error) {
+	var spec Spec
+	raw, err := os.ReadFile(filepath.Join(dir, SpecName))
+	if err != nil {
+		return spec, err
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return spec, fmt.Errorf("spec: %w", err)
+	}
+	return spec, spec.Normalize()
 }
 
 // VerifyResult reports one instance's offline replay audit.
@@ -89,22 +102,11 @@ type VerifyResult struct {
 // verification a restarting server performs, exposed as an audit tool
 // (`nbandit serve -replay`). It never mutates the directory.
 func VerifyInstance(dir string) (*VerifyResult, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, SpecName))
+	spec, err := loadSpec(dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: verify %s: %w", dir, err)
 	}
-	var spec Spec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, fmt.Errorf("serve: verify %s: spec: %w", dir, err)
-	}
-	if err := spec.Normalize(); err != nil {
-		return nil, err
-	}
 	hash := spec.Hash()
-	rounds, err := readLog(filepath.Join(dir, LogName), hash)
-	if err != nil {
-		return nil, err
-	}
 	snap, err := readSnapshot(filepath.Join(dir, SnapshotName), hash)
 	if err != nil {
 		return nil, err
@@ -113,11 +115,12 @@ func VerifyInstance(dir string) (*VerifyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := replayLog(b, &spec, rounds, snap); err != nil {
+	sc, err := replayLog(b, &spec, filepath.Join(dir, LogName), snap)
+	if err != nil {
 		return nil, err
 	}
 	return &VerifyResult{
-		ID: spec.ID, SpecHash: hash, Rounds: len(rounds),
+		ID: spec.ID, SpecHash: hash, Rounds: sc.Rounds,
 		SnapshotChecked: snap != nil,
 	}, nil
 }
@@ -155,18 +158,7 @@ func VerifyDir(dir string) ([]*VerifyResult, error) {
 // AggregateOf is a convenience for audits and tests: the aggregate
 // state a verified instance directory's log replays to.
 func AggregateOf(dir string) (*sim.AggregateState, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, SpecName))
-	if err != nil {
-		return nil, err
-	}
-	var spec Spec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, err
-	}
-	if err := spec.Normalize(); err != nil {
-		return nil, err
-	}
-	rounds, err := readLog(filepath.Join(dir, LogName), spec.Hash())
+	spec, err := loadSpec(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +166,7 @@ func AggregateOf(dir string) (*sim.AggregateState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := replayLog(b, &spec, rounds, nil); err != nil {
+	if _, err := replayLog(b, &spec, filepath.Join(dir, LogName), nil); err != nil {
 		return nil, err
 	}
 	snap, err := currentSnapshot(b, spec.Hash())

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -167,40 +167,66 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// restore rebuilds every instance found under the data directory.
+// restore rebuilds every instance found under the data directory,
+// replaying up to GOMAXPROCS of them at once. If any instance fails, the
+// ones already restored are stopped and the first failure in directory
+// order is returned.
 func (s *Server) restore() error {
 	root := filepath.Join(s.opts.Dir, "instances")
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
+	var names []string
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		if e.IsDir() {
+			names = append(names, e.Name())
 		}
-		dir := filepath.Join(root, e.Name())
-		raw, err := os.ReadFile(filepath.Join(dir, SpecName))
+	}
+	restored := make([]*Instance, len(names))
+	errs := make([]error, len(names))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, name string) {
+			defer func() {
+				<-sem
+				wg.Done()
+			}()
+			restored[i], errs[i] = s.restoreInstance(filepath.Join(root, name), name)
+		}(i, name)
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("serve: restore %s: %w", e.Name(), err)
+			for _, in := range restored {
+				if in != nil {
+					_ = in.command(cmdKill) // a kill acknowledges with nil
+				}
+			}
+			return fmt.Errorf("serve: restore %s: %w", names[i], err)
 		}
-		var spec Spec
-		if err := json.Unmarshal(raw, &spec); err != nil {
-			return fmt.Errorf("serve: restore %s: spec: %w", e.Name(), err)
-		}
-		if err := spec.Normalize(); err != nil {
-			return fmt.Errorf("serve: restore %s: %w", e.Name(), err)
-		}
-		if spec.ID != e.Name() {
-			return fmt.Errorf("serve: restore %s: spec id %q does not match directory", e.Name(), spec.ID)
-		}
-		in, err := newInstance(spec, dir, s.m, s.opts.Recorder, s.opts.SnapshotEvery, s.opts.MailboxSize)
-		if err != nil {
-			return fmt.Errorf("serve: restore %s: %w", e.Name(), err)
-		}
-		s.instances[spec.ID] = in
+	}
+	for _, in := range restored {
+		s.instances[in.spec.ID] = in
 	}
 	s.m.instances.Set(float64(len(s.instances)))
 	return nil
+}
+
+// restoreInstance rebuilds the instance in dir, whose name must be the
+// spec's ID, from its spec and decision log.
+func (s *Server) restoreInstance(dir, name string) (*Instance, error) {
+	spec, err := loadSpec(dir)
+	if err != nil {
+		return nil, err
+	}
+	if spec.ID != name {
+		return nil, fmt.Errorf("spec id %q does not match directory", spec.ID)
+	}
+	return newInstance(spec, dir, s.m, s.opts.Recorder, s.opts.SnapshotEvery, s.opts.MailboxSize)
 }
 
 // ServeHTTP exposes the combined /v1 + observability mux.
@@ -334,13 +360,8 @@ func (s *Server) SnapshotAll() error {
 	}
 	s.mu.RUnlock()
 	for _, in := range ins {
-		done := make(chan error, 1)
-		select {
-		case in.mailbox <- icmd{kind: cmdSnapshot, done: done}:
-			if err := <-done; err != nil {
-				return err
-			}
-		case <-in.stopped:
+		if err := in.command(cmdSnapshot); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -374,13 +395,8 @@ func (s *Server) shutdown(kind cmdKind) error {
 	}
 	var first error
 	for _, in := range ins {
-		done := make(chan error, 1)
-		select {
-		case in.mailbox <- icmd{kind: kind, done: done}:
-			if err := <-done; err != nil && first == nil {
-				first = err
-			}
-		case <-in.stopped:
+		if err := in.command(kind); err != nil && first == nil {
+			first = err
 		}
 	}
 	if kind == cmdStop && s.opts.Recorder != nil {

@@ -708,8 +708,8 @@ func executeCells(ctx context.Context, cells []execCell, workers, window int, pr
 			cancel()
 			continue
 		}
-		if len(errs) > 0 {
-			continue // failing: drain without folding
+		if len(errs) > 0 || ctx.Err() != nil {
+			continue // failing or cancelled: drain without folding
 		}
 		pending[res.cell][res.rep] = res.series
 		buffered++
@@ -758,6 +758,12 @@ func executeCells(ctx context.Context, cells []execCell, workers, window int, pr
 					cancel()
 					break
 				}
+			}
+			if ctx.Err() != nil {
+				// Cancelled, possibly by the progress callback itself:
+				// nothing more is folded or handed to onCell, so the
+				// cancellation point is also the last persistence point.
+				break
 			}
 		}
 	}
