@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -186,7 +187,11 @@ func runLoadgen(args []string) error {
 				status, body, err := postJSON(client, base+"/v1/decide", map[string]string{"instance": id})
 				lat := time.Since(t0)
 				if err != nil || status != http.StatusOK {
+					// A failed decide enters the sample at the client
+					// timeout, so it misses every latency limit instead of
+					// silently dropping out.
 					errs.Add(1)
+					latencies[w] = append(latencies[w], client.Timeout.Seconds())
 					continue
 				}
 				decisions.Add(1)
@@ -223,7 +228,7 @@ func runLoadgen(args []string) error {
 		all = append(all, l...)
 	}
 	sort.Float64s(all)
-	pct := func(p float64) float64 { return all[int(p*float64(len(all)-1))] }
+	pct := func(p float64) float64 { return nearestRank(all, p) }
 	var sum float64
 	for _, v := range all {
 		sum += v
@@ -233,8 +238,8 @@ func runLoadgen(args []string) error {
 
 	fmt.Printf("loadgen: %d decisions in %s (%.1f/sec), %d feedback batches, %d errors\n",
 		n, o.duration, perSec, feedbacks.Load(), errs.Load())
-	fmt.Printf("loadgen: latency mean %.3fms p50 %.3fms p95 %.3fms p99 %.3fms\n",
-		mean*1e3, pct(0.50)*1e3, pct(0.95)*1e3, pct(0.99)*1e3)
+	fmt.Printf("loadgen: latency (failures counted at %s) mean %.3fms p50 %.3fms (n=%d) p95 %.3fms (n=%d) p99 %.3fms (n=%d)\n",
+		client.Timeout, mean*1e3, pct(0.50)*1e3, len(all), pct(0.95)*1e3, len(all), pct(0.99)*1e3, len(all))
 
 	if o.out == "" {
 		return nil
@@ -249,10 +254,22 @@ func runLoadgen(args []string) error {
 				"p95_ms":            pct(0.95) * 1e3,
 				"p99_ms":            pct(0.99) * 1e3,
 				"errors":            float64(errs.Load()),
+				"samples":           float64(len(all)),
 			},
 		},
 	}
 	return mergeTrajectory(o.out, o.label, results)
+}
+
+// nearestRank returns the p-th quantile (0 < p ≤ 1) of the ascending,
+// non-empty sample xs by the nearest-rank method: xs[ceil(p·n)−1], the
+// smallest sample with at least a p share of the sample at or below it.
+func nearestRank(xs []float64, p float64) float64 {
+	// The epsilon keeps p·n that is integral in exact arithmetic from
+	// rounding up past it in floating point (0.07·100 → 7.000000000000001).
+	rank := int(math.Ceil(p*float64(len(xs)) - 1e-9))
+	rank = max(1, min(rank, len(xs)))
+	return xs[rank-1]
 }
 
 // postJSON posts v as JSON and returns the status code and body.

@@ -15,6 +15,10 @@ import (
 // unknown (Meta.Horizon == 0) the policy runs its anytime variant with t in
 // place of n. MOSS deliberately ignores side observations: it is the
 // "no side bonus" control.
+//
+// With a fixed horizon n/K never changes, so arm i's index changes only
+// when arm i is observed: Update refreshes that one entry and Select is a
+// single argmax. The anytime variant recomputes every index each round.
 type MOSS struct {
 	stats   bandit.ArmStats
 	k       int
@@ -35,15 +39,17 @@ func (p *MOSS) Reset(meta bandit.Meta) {
 	p.horizon = meta.Horizon
 	p.stats.Reset(meta.K)
 	p.index = make([]float64, meta.K)
+	for i := range p.index {
+		p.index[i] = bandit.InfIndex
+	}
 }
 
 // Select implements bandit.SinglePolicy.
 func (p *MOSS) Select(t int, _ *bandit.RoundContext) int {
-	budget := p.horizon
-	if budget == 0 {
-		budget = t
+	if p.horizon > 0 {
+		return bandit.ArgmaxFloat(p.index)
 	}
-	ratio := float64(budget) / float64(p.k)
+	ratio := float64(t) / float64(p.k)
 	for i := 0; i < p.k; i++ {
 		n := p.stats.Count[i]
 		if n == 0 {
@@ -60,6 +66,10 @@ func (p *MOSS) Select(t int, _ *bandit.RoundContext) int {
 func (p *MOSS) Update(_ int, chosen int, obs []bandit.Observation) {
 	if v, ok := bandit.ChosenValue(chosen, obs); ok {
 		p.stats.Observe(chosen, v)
+		if p.horizon > 0 {
+			ratio := float64(p.horizon) / float64(p.k)
+			p.index[chosen] = p.stats.Mean[chosen] + stats.MOSSRadius(ratio, p.stats.Count[chosen])
+		}
 	}
 }
 

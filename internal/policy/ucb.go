@@ -1,8 +1,9 @@
 package policy
 
 import (
+	"math"
+
 	"netbandit/internal/bandit"
-	"netbandit/internal/stats"
 )
 
 // UCB1 is the classical Auer-Cesa-Bianchi-Fischer index policy with index
@@ -15,9 +16,7 @@ type UCB1 struct {
 	// of only the chosen arm's.
 	UseSideObs bool
 
-	stats bandit.ArmStats
-	k     int
-	index []float64
+	ucb ucbIndex
 }
 
 // NewUCB1 returns a UCB1 policy that ignores side observations.
@@ -32,36 +31,80 @@ func (p *UCB1) Name() string {
 }
 
 // Reset implements bandit.SinglePolicy.
-func (p *UCB1) Reset(meta bandit.Meta) {
-	p.k = meta.K
-	p.stats.Reset(meta.K)
-	p.index = make([]float64, meta.K)
-}
+func (p *UCB1) Reset(meta bandit.Meta) { p.ucb.reset(meta.K) }
 
 // Select implements bandit.SinglePolicy.
-func (p *UCB1) Select(t int, _ *bandit.RoundContext) int {
-	for i := 0; i < p.k; i++ {
-		n := p.stats.Count[i]
-		if n == 0 {
-			p.index[i] = bandit.InfIndex
-			continue
-		}
-		p.index[i] = p.stats.Mean[i] + stats.UCB1Radius(int64(t), n)
-	}
-	return bandit.ArgmaxFloat(p.index)
-}
+func (p *UCB1) Select(t int, _ *bandit.RoundContext) int { return p.ucb.argmax(t) }
 
 // Update implements bandit.SinglePolicy.
 func (p *UCB1) Update(_ int, chosen int, obs []bandit.Observation) {
 	if p.UseSideObs {
-		for _, o := range obs {
-			p.stats.Observe(o.Arm, o.Value)
-		}
+		p.ucb.observeAll(obs)
 		return
 	}
 	if v, ok := bandit.ChosenValue(chosen, obs); ok {
-		p.stats.Observe(chosen, v)
+		p.ucb.observe(chosen, v)
 	}
 }
 
 var _ bandit.SinglePolicy = (*UCB1)(nil)
+
+// ucbIndex is the estimation state and index scan shared by UCB1, UCB-N
+// and UCB-MaxN: per-arm counts and means plus the cached reciprocal 1/T_i,
+// refreshed once per observation.
+type ucbIndex struct {
+	stats bandit.ArmStats
+	inv   []float64 // 1/Count[i]; stale while Count[i] == 0
+}
+
+func (u *ucbIndex) reset(k int) {
+	u.stats.Reset(k)
+	u.inv = make([]float64, k)
+}
+
+func (u *ucbIndex) observe(i int, x float64) {
+	u.stats.Observe(i, x)
+	u.inv[i] = 1 / float64(u.stats.Count[i])
+}
+
+func (u *ucbIndex) observeAll(obs []bandit.Observation) {
+	for _, o := range obs {
+		u.observe(o.Arm, o.Value)
+	}
+}
+
+// argmax returns the lowest arm maximising X̄_i + sqrt(2 ln t / T_i), with
+// +Inf for unobserved arms: the same arm, bit for bit, as filling every
+// index with stats.UCB1Radius and taking bandit.ArgmaxFloat. 2 ln t is
+// computed once per round, and arms that cannot beat the running best skip
+// the divide and sqrt.
+func (u *ucbIndex) argmax(t int) int {
+	if t < 1 {
+		t = 1
+	}
+	l := 2 * math.Log(float64(t))
+	// Reslicing to len(count) lets the compiler drop the bounds checks.
+	count := u.stats.Count
+	mean := u.stats.Mean[:len(count)]
+	inv := u.inv[:len(count)]
+	best, bestV := 0, math.Inf(-1)
+	for i, n := range count {
+		if n == 0 {
+			// +Inf: every earlier index is finite, so the first unobserved
+			// arm wins the lowest-index tie-break outright.
+			return i
+		}
+		m := mean[i]
+		// Squared prune with the same conservative (1-1e-9) slack as the
+		// DFL kernel: an arm is skipped only when it loses by far more than
+		// the rounding of l·inv against l/n, so the exact comparison below
+		// decides every arm that could contend.
+		if d := bestV - m; d > 0 && l*inv[i] < d*d*(1-1e-9) {
+			continue
+		}
+		if v := m + math.Sqrt(l/float64(n)); v > bestV {
+			best, bestV = i, v
+		}
+	}
+	return best
+}

@@ -3,7 +3,6 @@ package policy
 import (
 	"netbandit/internal/bandit"
 	"netbandit/internal/graphs"
-	"netbandit/internal/stats"
 )
 
 // UCBN is the UCB-N policy for bandits with side observations (Caron et
@@ -12,9 +11,7 @@ import (
 // observation (the pulled arm and its whole closed neighbourhood) updates
 // the per-arm statistics, so O_i grows much faster than T_i.
 type UCBN struct {
-	stats bandit.ArmStats
-	k     int
-	index []float64
+	ucb ucbIndex
 }
 
 // NewUCBN returns a UCB-N policy.
@@ -24,31 +21,13 @@ func NewUCBN() *UCBN { return &UCBN{} }
 func (p *UCBN) Name() string { return "UCB-N" }
 
 // Reset implements bandit.SinglePolicy.
-func (p *UCBN) Reset(meta bandit.Meta) {
-	p.k = meta.K
-	p.stats.Reset(meta.K)
-	p.index = make([]float64, meta.K)
-}
+func (p *UCBN) Reset(meta bandit.Meta) { p.ucb.reset(meta.K) }
 
 // Select implements bandit.SinglePolicy.
-func (p *UCBN) Select(t int, _ *bandit.RoundContext) int {
-	for i := 0; i < p.k; i++ {
-		n := p.stats.Count[i]
-		if n == 0 {
-			p.index[i] = bandit.InfIndex
-			continue
-		}
-		p.index[i] = p.stats.Mean[i] + stats.UCB1Radius(int64(t), n)
-	}
-	return bandit.ArgmaxFloat(p.index)
-}
+func (p *UCBN) Select(t int, _ *bandit.RoundContext) int { return p.ucb.argmax(t) }
 
 // Update implements bandit.SinglePolicy.
-func (p *UCBN) Update(_ int, _ int, obs []bandit.Observation) {
-	for _, o := range obs {
-		p.stats.Observe(o.Arm, o.Value)
-	}
-}
+func (p *UCBN) Update(_ int, _ int, obs []bandit.Observation) { p.ucb.observeAll(obs) }
 
 var _ bandit.SinglePolicy = (*UCBN)(nil)
 
@@ -58,10 +37,8 @@ var _ bandit.SinglePolicy = (*UCBN)(nil)
 // neighbourhood yields the same observations, playing the best-looking
 // member is a free improvement. It needs the relation graph at Reset.
 type UCBMaxN struct {
-	stats bandit.ArmStats
-	k     int
+	ucb   ucbIndex
 	graph *graphs.Graph
-	index []float64
 }
 
 // NewUCBMaxN returns a UCB-MaxN policy.
@@ -72,41 +49,28 @@ func (p *UCBMaxN) Name() string { return "UCB-MaxN" }
 
 // Reset implements bandit.SinglePolicy.
 func (p *UCBMaxN) Reset(meta bandit.Meta) {
-	p.k = meta.K
 	p.graph = meta.Graph
-	p.stats.Reset(meta.K)
-	p.index = make([]float64, meta.K)
+	p.ucb.reset(meta.K)
 }
 
 // Select implements bandit.SinglePolicy.
 func (p *UCBMaxN) Select(t int, _ *bandit.RoundContext) int {
-	for i := 0; i < p.k; i++ {
-		n := p.stats.Count[i]
-		if n == 0 {
-			p.index[i] = bandit.InfIndex
-			continue
-		}
-		p.index[i] = p.stats.Mean[i] + stats.UCB1Radius(int64(t), n)
-	}
-	star := bandit.ArgmaxFloat(p.index)
+	star := p.ucb.argmax(t)
 	if p.graph == nil {
 		return star
 	}
 	// Hop to the empirically best member of the chosen neighbourhood.
-	best, bestMean := star, p.stats.Mean[star]
+	st := &p.ucb.stats
+	best, bestMean := star, st.Mean[star]
 	for _, j := range p.graph.ClosedNeighborhood(star) {
-		if p.stats.Count[j] > 0 && p.stats.Mean[j] > bestMean {
-			best, bestMean = j, p.stats.Mean[j]
+		if st.Count[j] > 0 && st.Mean[j] > bestMean {
+			best, bestMean = j, st.Mean[j]
 		}
 	}
 	return best
 }
 
 // Update implements bandit.SinglePolicy.
-func (p *UCBMaxN) Update(_ int, _ int, obs []bandit.Observation) {
-	for _, o := range obs {
-		p.stats.Observe(o.Arm, o.Value)
-	}
-}
+func (p *UCBMaxN) Update(_ int, _ int, obs []bandit.Observation) { p.ucb.observeAll(obs) }
 
 var _ bandit.SinglePolicy = (*UCBMaxN)(nil)
