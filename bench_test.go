@@ -184,7 +184,16 @@ func BenchmarkSampleAll(b *testing.B) {
 	b.ReportMetric(float64(env.K()), "arms/op")
 }
 
-func BenchmarkDFLCSRRound(b *testing.B) {
+func BenchmarkDFLCSRRound(b *testing.B) { csrRun(b, netbandit.NewDFLCSR) }
+
+// BenchmarkCUCBClosureRound is BenchmarkDFLCSRRound's run with the
+// closure-objective CUCB baseline: per-arm UCB indices plus the same
+// exact strategy argmax, the other half of the shard_grid workload.
+func BenchmarkCUCBClosureRound(b *testing.B) { csrRun(b, netbandit.NewCUCBClosure) }
+
+// csrRun times one 500-round CSR replication per op on K=20, top-2
+// strategies, G(20, 0.3).
+func csrRun(b *testing.B, policy func() netbandit.ComboPolicy) {
 	r := netbandit.NewRNG(2)
 	g := netbandit.GnpGraph(20, 0.3, r)
 	env, err := netbandit.NewRandomBernoulliEnv(g, 20, r)
@@ -198,7 +207,7 @@ func BenchmarkDFLCSRRound(b *testing.B) {
 	cfg := netbandit.Config{Horizon: 500, AnnounceHorizon: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := netbandit.RunCombo(env, set, netbandit.CSR, netbandit.NewDFLCSR(), cfg, netbandit.NewRNG(uint64(i))); err != nil {
+		if _, err := netbandit.RunCombo(env, set, netbandit.CSR, policy(), cfg, netbandit.NewRNG(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -362,8 +371,7 @@ func ctxSteadyRound(b *testing.B, pol netbandit.ComboPolicy) {
 }
 
 // BenchmarkCombLinUCBRound measures combinatorial LinUCB's marginal
-// contextual round: ridge scoring of every arm plus the argmax-pruned
-// strategy scan.
+// contextual round: ridge scoring of every arm plus the strategy argmax.
 func BenchmarkCombLinUCBRound(b *testing.B) {
 	ctxSteadyRound(b, netbandit.NewCombLinUCB(1, netbandit.ObjectiveDirect))
 }

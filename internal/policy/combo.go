@@ -36,7 +36,8 @@ func (o ComboObjective) String() string {
 // CUCB is the combinatorial UCB baseline (Chen, Wang & Yuan 2013 style):
 // it keeps per-arm UCB estimates from the arm-level observations of played
 // strategies and plays the strategy maximising the sum of optimistic arm
-// estimates under the chosen objective. Its guarantee is
+// estimates (+Inf while unobserved) under the chosen objective, by the
+// exact oracle DFL-CSR uses, strategy.Set.Argmax. Its guarantee is
 // distribution-dependent, which is the gap the paper's DFL-CSO/CSR close.
 type CUCB struct {
 	// Objective picks the maximised sum; defaults to Direct.
@@ -67,33 +68,17 @@ func (p *CUCB) Reset(meta bandit.ComboMeta) {
 
 // Select implements bandit.ComboPolicy.
 func (p *CUCB) Select(t int, _ *bandit.RoundContext) int {
+	l := 1.5 * math.Log(float64(t))
 	for i := 0; i < p.k; i++ {
 		n := p.stats.Count[i]
 		if n == 0 {
 			p.index[i] = bandit.InfIndex
 			continue
 		}
-		p.index[i] = p.stats.Mean[i] + math.Sqrt(1.5*math.Log(float64(t))/float64(n))
+		p.index[i] = p.stats.Mean[i] + math.Sqrt(l/float64(n))
 	}
-	bestX, bestInf, bestSum := 0, -1, math.Inf(-1)
-	for x := 0; x < p.set.Len(); x++ {
-		arms := p.set.Arms(x)
-		if p.Objective == Closure {
-			arms = p.set.Closure(x)
-		}
-		inf, sum := 0, 0.0
-		for _, i := range arms {
-			if math.IsInf(p.index[i], 1) {
-				inf++
-			} else {
-				sum += p.index[i]
-			}
-		}
-		if inf > bestInf || (inf == bestInf && sum > bestSum) {
-			bestX, bestInf, bestSum = x, inf, sum
-		}
-	}
-	return bestX
+	x, _ := p.set.Argmax(p.index, p.Objective == Closure)
+	return x
 }
 
 // Update implements bandit.ComboPolicy: every revealed arm observation

@@ -61,7 +61,8 @@ func (p *CTS) Select(t int, _ *bandit.RoundContext) int {
 		p.ctr.Reseed(&p.scratch, uint64(i), uint64(t))
 		p.samples[i] = p.scratch.Beta(1+p.successes[i], 1+p.failures[i])
 	}
-	return bestStrategyBySum(p.set, p.samples, p.Objective == Closure)
+	x, _ := p.set.Argmax(p.samples, p.Objective == Closure)
+	return x
 }
 
 // Update implements bandit.ComboPolicy: every revealed arm observation

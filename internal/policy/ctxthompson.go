@@ -168,7 +168,8 @@ func (p *CombCtxThompson) Select(t int, rc *bandit.RoundContext) int {
 		}
 		p.index[i] = s
 	}
-	return bestStrategyBySum(p.set, p.index, p.Objective == Closure)
+	x, _ := p.set.Argmax(p.index, p.Objective == Closure)
+	return x
 }
 
 // Update implements bandit.ComboPolicy.

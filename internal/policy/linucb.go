@@ -136,7 +136,8 @@ func (p *CombLinUCB) Select(_ int, rc *bandit.RoundContext) int {
 		est, varx := p.m.score(rc.Arm(i))
 		p.index[i] = est + p.Alpha*math.Sqrt(varx)
 	}
-	return bestStrategyBySum(p.set, p.index, p.Objective == Closure)
+	x, _ := p.set.Argmax(p.index, p.Objective == Closure)
+	return x
 }
 
 // Update implements bandit.ComboPolicy: every revealed arm observation is
@@ -148,38 +149,3 @@ func (p *CombLinUCB) Update(_ int, _ int, obs []bandit.Observation) {
 }
 
 var _ bandit.ComboPolicy = (*CombLinUCB)(nil)
-
-// bestStrategyBySum returns the strategy maximising Σ index[i] over its
-// arms (closure arms when closure is true), pruning partial sums that
-// cannot beat the incumbent even if every remaining slot scored the global
-// per-arm maximum. Ties keep the lowest strategy index, matching the
-// unpruned scan.
-func bestStrategyBySum(set *strategy.Set, index []float64, closure bool) int {
-	var maxU float64 = math.Inf(-1)
-	for _, u := range index {
-		if u > maxU {
-			maxU = u
-		}
-	}
-	bestX, bestSum := 0, math.Inf(-1)
-	for x := 0; x < set.Len(); x++ {
-		arms := set.Arms(x)
-		if closure {
-			arms = set.Closure(x)
-		}
-		sum, rem := 0.0, len(arms)
-		pruned := false
-		for _, i := range arms {
-			sum += index[i]
-			rem--
-			if sum+float64(rem)*maxU <= bestSum {
-				pruned = true
-				break
-			}
-		}
-		if !pruned && sum > bestSum {
-			bestX, bestSum = x, sum
-		}
-	}
-	return bestX
-}

@@ -107,7 +107,8 @@ func (p *OSMD) Select(_ int, _ *bandit.RoundContext) int {
 	// The sampled m-set is outside the feasible family: play the feasible
 	// strategy carrying the most marginal mass instead.
 	p.fellBack = true
-	return bestStrategyBySum(p.set, p.w, false)
+	x, _ := p.set.Argmax(p.w, false)
+	return x
 }
 
 // sampleMSet fills p.arms with an m-subset whose inclusion probabilities

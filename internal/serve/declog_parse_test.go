@@ -107,7 +107,7 @@ func TestLineParserMatchesJSONReference(t *testing.T) {
 		unsealed(encodeHeaderPayload(nil, "0123456789abcdef")),
 		unsealed(encodeRoundPayload(nil, 1, 0, awkwardValues)),
 		unsealed(encodeRoundPayload(nil, 2, 7, nil)),
-		unsealed(encodeRoundPayload(nil, 1<<40, 1<<31, []float64{math.Copysign(0, -1)})),
+		unsealed(encodeRoundPayload(nil, math.MaxInt, math.MaxInt32, []float64{math.Copysign(0, -1)})),
 	}
 	for _, v := range awkwardValues {
 		canonical = append(canonical, unsealed(encodeRoundPayload(nil, 9, 2, []float64{v, -v})))

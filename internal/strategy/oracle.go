@@ -8,7 +8,7 @@ import (
 
 // Oracle solves the per-round combinatorial problem of DFL-CSR:
 // argmax_x Σ_{i∈Y_x} w_i over the feasible family. Theorem 4 assumes this
-// is solved optimally; ExactOracle does so by enumeration, GreedyOracle
+// is solved optimally; ExactOracle does so with Set.Argmax, GreedyOracle
 // trades optimality for speed on top-M families.
 type Oracle interface {
 	// Name identifies the oracle in reports.
@@ -19,39 +19,17 @@ type Oracle interface {
 	ArgmaxClosure(s *Set, w []float64) int
 }
 
-// ExactOracle maximises by full enumeration of the family — optimal, O(Σ|Y_x|).
+// ExactOracle maximises by full enumeration of the family — optimal, O(K + Σ|Y_x|).
 type ExactOracle struct{}
 
 // Name implements Oracle.
 func (ExactOracle) Name() string { return "exact" }
 
-// ArgmaxClosure implements Oracle. Infinite weights are handled by
-// preferring the strategy whose closure covers the most +Inf arms, then the
-// largest finite sum — this makes the initial forced-exploration phase
-// sweep unobserved arms as fast as an optimal oracle would.
+// ArgmaxClosure implements Oracle with Set.Argmax: while a weight is +Inf,
+// the closure covering the most +Inf arms wins, then the largest finite sum.
 func (ExactOracle) ArgmaxClosure(s *Set, w []float64) int {
-	bestX := 0
-	bestInf, bestSum := closureScore(s, 0, w)
-	for x := 1; x < s.Len(); x++ {
-		inf, sum := closureScore(s, x, w)
-		if inf > bestInf || (inf == bestInf && sum > bestSum) {
-			bestX, bestInf, bestSum = x, inf, sum
-		}
-	}
-	return bestX
-}
-
-// closureScore splits the closure weight of strategy x into the count of
-// infinite entries and the finite remainder.
-func closureScore(s *Set, x int, w []float64) (infCount int, finiteSum float64) {
-	for _, i := range s.Closure(x) {
-		if math.IsInf(w[i], 1) {
-			infCount++
-		} else {
-			finiteSum += w[i]
-		}
-	}
-	return infCount, finiteSum
+	x, _ := s.Argmax(w, true)
+	return x
 }
 
 // GreedyOracle approximately maximises the closure weight by greedy

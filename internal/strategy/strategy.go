@@ -6,6 +6,7 @@ package strategy
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -374,25 +375,71 @@ func (s *Set) ClosureMean(x int, w []float64) float64 {
 	return sum
 }
 
-// BestDirect returns the strategy maximising DirectMean. Ties break toward
-// the lowest index.
+// BestDirect returns Argmax over the strategies' arms: the strategy
+// maximising DirectMean, and its value.
 func (s *Set) BestDirect(w []float64) (x int, mean float64) {
-	return s.argmax(w, s.DirectMean)
+	return s.Argmax(w, false)
 }
 
-// BestClosure returns the strategy maximising ClosureMean.
+// BestClosure returns Argmax over the closures Y_x.
 func (s *Set) BestClosure(w []float64) (x int, mean float64) {
-	return s.argmax(w, s.ClosureMean)
+	return s.Argmax(w, true)
 }
 
-func (s *Set) argmax(w []float64, value func(int, []float64) float64) (int, float64) {
-	bestX, bestV := 0, value(0, w)
-	for x := 1; x < len(s.arms); x++ {
-		if v := value(x, w); v > bestV {
-			bestX, bestV = x, v
+// Argmax is the one exact strategy oracle: it returns the strategy
+// maximising Σ w_i over its arms (over Y_x when closure is set) and that
+// row's sum in stored order. Rows compare by strict >, so the lowest index
+// wins ties and a NaN row never replaces row 0's incumbent sum. While some
+// weight is +Inf (an unobserved arm), rows compare first by their count of
+// +Inf entries, then by the sum of the rest. Argmax does not prune by a
+// bound, allocates nothing and keeps no state, so a Set serves concurrent
+// callers.
+func (s *Set) Argmax(w []float64, closure bool) (x int, sum float64) {
+	rows := s.arms
+	if closure {
+		rows = s.closed
+	}
+	for _, v := range w {
+		if math.IsInf(v, 1) {
+			return argmaxInf(rows, w)
 		}
 	}
-	return bestX, bestV
+	for _, i := range rows[0] {
+		sum += w[i]
+	}
+	for y := 1; y < len(rows); y++ {
+		var v float64
+		for _, i := range rows[y] {
+			v += w[i]
+		}
+		if v > sum {
+			x, sum = y, v
+		}
+	}
+	return x, sum
+}
+
+// argmaxInf is Argmax's lexicographic scan for weights containing +Inf.
+func argmaxInf(rows [][]int, w []float64) (int, float64) {
+	bestX, bestInf, bestSum := 0, -1, math.Inf(-1)
+	for x, row := range rows {
+		inf, sum := 0, 0.0
+		for _, i := range row {
+			if math.IsInf(w[i], 1) {
+				inf++
+			} else {
+				sum += w[i]
+			}
+		}
+		if inf > bestInf || (inf == bestInf && sum > bestSum) {
+			bestX, bestInf, bestSum = x, inf, sum
+		}
+	}
+	var sum float64
+	for _, i := range rows[bestX] {
+		sum += w[i]
+	}
+	return bestX, sum
 }
 
 // String summarises the family.
