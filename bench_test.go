@@ -259,8 +259,9 @@ func largeKSetup(b *testing.B, k int) (*netbandit.Env, *netbandit.StrategySet) {
 }
 
 // BenchmarkLargeKSGBuild measures strategy-graph construction on the
-// window family: |F| = K vertices, so K = 10⁴ exercises the multi-word
-// arm-probe kernel over 5·10⁷ strategy pairs.
+// window family: |F| = K vertices, so K = 10⁴ has 5·10⁷ strategy pairs,
+// of which the first-arm kernel tests about 18 per strategy, and its SG
+// is past the dense limit, so it comes out sparse.
 func BenchmarkLargeKSGBuild(b *testing.B) {
 	for _, tc := range largeKSizes {
 		b.Run(tc.name, func(b *testing.B) {

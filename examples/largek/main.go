@@ -1,8 +1,9 @@
 // Largek: the K = 4096 scenario that the one-word kernels could not
-// touch. Every arm set here spans 64 machine words, the relation graph
-// is a skip-sampled sparse G(n, p) that never materialises its n×n bit
-// matrix, and the strategy relation graph SG(F, L) over the |F| = K
-// sliding-window family is built by the multi-word arm-probe kernel.
+// touch. The relation graph is a skip-sampled sparse G(n, p) that never
+// materialises its n×n bit matrix, and the strategy relation graph
+// SG(F, L) over the |F| = K sliding-window family is built by the
+// first-arm candidate kernel, which tests about |Y_x| candidate pairs per
+// strategy instead of all |F|²/2.
 // The program prints construction statistics and then runs DFL-SSO
 // long enough to show the steady-state round staying cheap at this
 // scale.

@@ -129,7 +129,7 @@ type ComboMeta struct {
 	// (Select receives non-nil *RoundContext values), 0 otherwise.
 	Dim int
 	// SharedSG, when non-nil, supplies the strategy relation graph SG(F, L)
-	// from a cache shared read-only across replications, so the O(|F|²)
+	// from a cache shared read-only across replications, so its
 	// construction is paid once per experiment cell instead of once per
 	// Reset. Policies that need SG fall back to building their own when nil.
 	SharedSG *StrategyGraphCache

@@ -22,7 +22,7 @@ import (
 // scaled by the maximum strategy size, matching the normalisation the
 // MOSS-style analysis performs before applying Hoeffding bounds.
 //
-// When the runner supplies a ComboMeta.SharedSG cache, the O(|F|²) graph
+// When the runner supplies a ComboMeta.SharedSG cache, the graph
 // construction is skipped entirely and the cell-wide instance is used
 // read-only; otherwise Reset builds its own.
 type DFLCSO struct {
@@ -44,7 +44,7 @@ func (p *DFLCSO) Name() string { return "DFL-CSO" }
 
 // Reset implements bandit.ComboPolicy. It takes the strategy relation
 // graph from the shared per-cell cache when one is supplied, and otherwise
-// builds it here, which costs O(|F|²·K/64) once per run.
+// builds it here once per run, at the cost BuildStrategyGraph states.
 func (p *DFLCSO) Reset(meta bandit.ComboMeta) {
 	p.set = meta.Strategies
 	if meta.SharedSG != nil {

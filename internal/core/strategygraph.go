@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"netbandit/internal/graphs"
 	"netbandit/internal/strategy"
 )
@@ -12,101 +14,94 @@ import (
 // edge reveals every component reward of the other, which is what lets
 // DFL-CSO run the single-play side-observation machinery over com-arms.
 //
-// The subset tests run on the arm/closure bitset rows package strategy
-// precomputes, so each of the |F|² ordered pairs costs O(K/64) word ANDs
-// rather than an O(M + |Y|) sorted merge, with a scalar fast path when the
-// rows fit one word (K ≤ 64). Edges are accumulated in an adjacency bit
-// matrix and materialised in one bulk pass (graphs.NewFromBitRows), so no
-// per-edge sorted insertion is paid either.
+// Only a strategy whose smallest arm lies in Y_x can satisfy s_y ⊆ Y_x, so
+// for each x the kernel marks Y_x in a K-length stamp array and visits
+// just the first-arm buckets (Set.WithFirstArm) of Y_x's arms, testing
+// s_y ⊆ Y_x on the stamp and then s_x ⊆ Y_y on the sorted closure. That is
+// Σ_x Σ_{a∈Y_x} |bucket(a)| candidates, never more than the |F|²/2 pairs
+// of an all-pairs scan; for the sliding-window family on a degree-8 graph
+// it is about 18 per strategy. When K ≤ 64 every arm set and closure is
+// one word, and the all-pairs scan's one-AND test is cheaper than
+// generating candidates. The result follows graphs.New's representation
+// rule: dense up to graphs.DenseVertexLimit vertices, sparse above.
 func BuildStrategyGraph(set *strategy.Set) *graphs.Graph {
-	n := set.Len()
-	wn := (n + 63) / 64
-	rows := make([]uint64, n*wn)
-	if set.Words() == 1 {
-		// Scalar kernel: each strategy's arm and closure sets are one word.
+	n, k := set.Len(), set.K()
+	start := make([]int, 1, n+1)
+	var up []int // upper-triangle neighbour rows, as graphs.NewFromUpper reads them
+	if k <= 64 {
 		arm := make([]uint64, n)
 		clo := make([]uint64, n)
 		for x := 0; x < n; x++ {
-			arm[x] = set.ArmBits(x)[0]
-			clo[x] = set.ClosureBits(x)[0]
+			arm[x], clo[x] = wordOf(set.Arms(x)), wordOf(set.Closure(x))
 		}
+		// Two branch-free passes over the pairs: about half the pairs of a
+		// dense family are edges, so a branch on the test mispredicts. The
+		// first counts each row's edges, so up is allocated once.
 		for x := 0; x < n; x++ {
 			ax, cx := arm[x], clo[x]
-			rowx := rows[x*wn : (x+1)*wn]
+			c := 0
 			for y := x + 1; y < n; y++ {
-				if arm[y]&^cx == 0 && ax&^clo[y] == 0 {
-					rowx[y>>6] |= 1 << (uint(y) & 63)
-					rows[y*wn+(x>>6)] |= 1 << (uint(x) & 63)
-				}
+				c += isZero(arm[y]&^cx | ax&^clo[y])
 			}
+			start = append(start, start[x]+c)
 		}
-		return graphs.NewFromBitRows(n, rows)
-	}
-	// Multi-word kernel. Hoist the per-strategy rows/lists out of the pair
-	// loop once — set.ArmBits etc. are slice-header computations, but |F|²
-	// of them is real money at n = 10⁴.
-	armRows := make([][]uint64, n)
-	cloRows := make([][]uint64, n)
-	armsList := make([][]int, n)
-	for x := 0; x < n; x++ {
-		armRows[x] = set.ArmBits(x)
-		cloRows[x] = set.ClosureBits(x)
-		armsList[x] = set.Arms(x)
-	}
-	if set.MaxArms() < set.Words() {
-		// Strategies are small relative to the row width (e.g. singletons
-		// or windows at K = 10⁴: M words per row, but only a handful of
-		// arms). Probing each component arm's bit in the other closure is
-		// O(M) per ordered pair instead of O(K/64).
+		// The fill writes every candidate and advances only past edges, so
+		// it writes one slot past each row: the next row, filled later, or
+		// the spare slot at the end.
+		up = make([]int, start[n]+1)
 		for x := 0; x < n; x++ {
-			ax, cx := armsList[x], cloRows[x]
-			rowx := rows[x*wn : (x+1)*wn]
+			ax, cx := arm[x], clo[x]
+			row, c := up[start[x]:], 0
 			for y := x + 1; y < n; y++ {
-				if armsInBits(armsList[y], cx) && armsInBits(ax, cloRows[y]) {
-					rowx[y>>6] |= 1 << (uint(y) & 63)
-					rows[y*wn+(x>>6)] |= 1 << (uint(x) & 63)
+				row[c] = y
+				c += isZero(arm[y]&^cx | ax&^clo[y])
+			}
+		}
+		return graphs.NewFromUpper(n, start, up[:start[n]])
+	}
+	stamp := make([]int, k) // stamp[a] == x+1 iff a ∈ Y_x
+	for x := 0; x < n; x++ {
+		ax, cx := set.Arms(x), set.Closure(x)
+		for _, a := range cx {
+			stamp[a] = x + 1
+		}
+		row := len(up)
+		for _, a := range cx {
+			bucket := set.WithFirstArm(a)
+			for _, y := range bucket[sort.SearchInts(bucket, x+1):] {
+				if allStamped(set.Arms(y)[1:], stamp, x+1) && isSubset(ax, set.Closure(y)) {
+					up = append(up, y)
 				}
 			}
 		}
-		return graphs.NewFromBitRows(n, rows)
+		sort.Ints(up[row:])
+		start = append(start, len(up))
 	}
-	for x := 0; x < n; x++ {
-		ax, cx := armRows[x], cloRows[x]
-		rowx := rows[x*wn : (x+1)*wn]
-		for y := x + 1; y < n; y++ {
-			if graphs.SubsetWords(armRows[y], cx) && graphs.SubsetWords(ax, cloRows[y]) {
-				rowx[y>>6] |= 1 << (uint(y) & 63)
-				rows[y*wn+(x>>6)] |= 1 << (uint(x) & 63)
-			}
-		}
-	}
-	return graphs.NewFromBitRows(n, rows)
+	return graphs.NewFromUpper(n, start, up)
 }
 
-// armsInBits reports whether every arm in the list has its bit set in row.
-func armsInBits(arms []int, row []uint64) bool {
+// wordOf returns the one-word bitset of a list of arms below 64.
+func wordOf(arms []int) uint64 {
+	var w uint64
 	for _, a := range arms {
-		if row[a>>6]&(1<<(uint(a)&63)) == 0 {
+		w |= 1 << uint(a)
+	}
+	return w
+}
+
+// isZero returns 1 when w is zero and 0 otherwise, without a branch.
+func isZero(w uint64) int {
+	return int(1 ^ (w|-w)>>63)
+}
+
+// allStamped reports whether stamp[a] == mark for every arm a in the list.
+func allStamped(arms, stamp []int, mark int) bool {
+	for _, a := range arms {
+		if stamp[a] != mark {
 			return false
 		}
 	}
 	return true
-}
-
-// buildStrategyGraphMerge is the pre-bitset reference implementation,
-// kept verbatim so the property tests can check the kernel against an
-// independently derived answer on random families.
-func buildStrategyGraphMerge(set *strategy.Set) *graphs.Graph {
-	n := set.Len()
-	sg := graphs.New(n)
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if isSubset(set.Arms(y), set.Closure(x)) && isSubset(set.Arms(x), set.Closure(y)) {
-				sg.MustAddEdge(x, y)
-			}
-		}
-	}
-	return sg
 }
 
 // isSubset reports whether sorted slice a is a subset of sorted slice b.

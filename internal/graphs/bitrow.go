@@ -2,48 +2,12 @@ package graphs
 
 import "math/bits"
 
-// Unrolled word-at-a-time kernels over bitset rows. Every multi-word hot
-// path in the library — the strategy-graph subset tests, closed-row
-// unions, Bron-Kerbosch intersections — bottoms out in one of these three
-// shapes: "is a contained in b", "how many bits do a and b share", and
-// "OR b into a". The generic loops below are unrolled four words wide so
-// the compiler emits straight-line AND/ANDN/POPCNT chains with the bounds
-// checks hoisted; rows up to 256 vertices (four words) take the early
-// specialised returns and never enter a loop at all.
-
-// SubsetWords reports whether every bit of a is also set in b, i.e.
-// a &^ b == 0. Rows must have equal length (the callers carve both from
-// words-sized backing arrays); it panics on a longer a, like the plain
-// indexing it replaces.
-func SubsetWords(a, b []uint64) bool {
-	n := len(a)
-	if n == 0 {
-		return true
-	}
-	b = b[:n] // one bounds check here, none in the loops below
-	switch n {
-	case 1:
-		return a[0]&^b[0] == 0
-	case 2:
-		return (a[0]&^b[0])|(a[1]&^b[1]) == 0
-	case 3:
-		return (a[0]&^b[0])|(a[1]&^b[1])|(a[2]&^b[2]) == 0
-	case 4:
-		return (a[0]&^b[0])|(a[1]&^b[1])|(a[2]&^b[2])|(a[3]&^b[3]) == 0
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		if (a[i]&^b[i])|(a[i+1]&^b[i+1])|(a[i+2]&^b[i+2])|(a[i+3]&^b[i+3]) != 0 {
-			return false
-		}
-	}
-	for ; i < n; i++ {
-		if a[i]&^b[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
+// Unrolled word-at-a-time kernels over bitset rows. The multi-word hot
+// paths of the library (closed-row unions and Bron-Kerbosch
+// intersections) bottom out in one of two shapes: "how many bits do a and
+// b share" and "OR b into a". The loops below are unrolled four words
+// wide so the compiler emits straight-line AND/POPCNT chains with the
+// bounds checks hoisted.
 
 // AndCountWords returns the number of bits set in both a and b
 // (popcount of the AND). Rows must have equal length.
@@ -63,20 +27,6 @@ func AndCountWords(a, b []uint64) int {
 	}
 	for ; i < n; i++ {
 		total += bits.OnesCount64(a[i] & b[i])
-	}
-	return total
-}
-
-// CountWords returns the number of set bits in row.
-func CountWords(row []uint64) int {
-	total := 0
-	i := 0
-	for ; i+4 <= len(row); i += 4 {
-		total += bits.OnesCount64(row[i]) + bits.OnesCount64(row[i+1]) +
-			bits.OnesCount64(row[i+2]) + bits.OnesCount64(row[i+3])
-	}
-	for ; i < len(row); i++ {
-		total += bits.OnesCount64(row[i])
 	}
 	return total
 }

@@ -68,47 +68,74 @@ func TestOrClosedInto(t *testing.T) {
 	}
 }
 
-func TestNewFromBitRowsMatchesAddEdge(t *testing.T) {
-	ref := Gnp(70, 0.25, rng.New(9)) // two-word rows
-	words := ref.Words()
-	rows := make([]uint64, ref.N()*words)
-	for _, e := range ref.Edges() {
-		u, v := e[0], e[1]
-		rows[u*words+v/64] |= 1 << (uint(v) % 64)
-		rows[v*words+u/64] |= 1 << (uint(u) % 64)
-	}
-	g := NewFromBitRows(ref.N(), rows)
-	if g.N() != ref.N() || g.M() != ref.M() {
-		t.Fatalf("shape (%d,%d), want (%d,%d)", g.N(), g.M(), ref.N(), ref.M())
-	}
-	for v := 0; v < ref.N(); v++ {
-		if !reflect.DeepEqual(g.Neighbors(v), ref.Neighbors(v)) {
-			t.Fatalf("Neighbors(%d) = %v, want %v", v, g.Neighbors(v), ref.Neighbors(v))
-		}
-		if !reflect.DeepEqual(g.ClosedNeighborhood(v), ref.ClosedNeighborhood(v)) {
-			t.Fatalf("ClosedNeighborhood(%d) = %v, want %v", v, g.ClosedNeighborhood(v), ref.ClosedNeighborhood(v))
-		}
-	}
-	// The result must behave like any other graph under further mutation.
-	free := -1
-	for u := 0; u < g.N() && free < 0; u++ {
-		for v := u + 1; v < g.N(); v++ {
-			if !g.HasEdge(u, v) {
-				free = u*g.N() + v
-				break
+// upperRows returns g's upper triangle in NewFromUpper's compressed form.
+func upperRows(g *Graph) (start, up []int) {
+	start = make([]int, 1, g.N()+1)
+	for v := 0; v < g.N(); v++ {
+		for _, u := range g.Neighbors(v) {
+			if u > v {
+				up = append(up, u)
 			}
 		}
+		start = append(start, len(up))
 	}
-	if free >= 0 {
-		u, v := free/g.N(), free%g.N()
-		g.MustAddEdge(u, v)
-		if got, want := g.ClosedNeighborhood(u), recomputeClosed(g, u); !reflect.DeepEqual(got, want) {
-			t.Fatalf("closed row stale after post-bulk AddEdge: %v want %v", got, want)
+	return start, up
+}
+
+// TestNewFromUpperMatchesAddEdge rebuilds random graphs from their upper
+// triangles on both sides of DenseVertexLimit: every list must match the
+// incrementally built graph, the representation must follow New's rule,
+// and the result must take further edges like any other graph.
+func TestNewFromUpperMatchesAddEdge(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		p float64
+	}{{0, 0}, {1, 0}, {70, 0.25}, {70, 1}, {DenseVertexLimit + 1, 0.001}} {
+		ref := Gnp(tc.n, tc.p, rng.New(9))
+		start, up := upperRows(ref)
+		g := NewFromUpper(ref.N(), start, up)
+		if g.N() != ref.N() || g.M() != ref.M() {
+			t.Fatalf("n=%d: shape (%d,%d), want (%d,%d)", tc.n, g.N(), g.M(), ref.N(), ref.M())
+		}
+		if g.Dense() != New(tc.n).Dense() {
+			t.Fatalf("n=%d: Dense() = %v, want New's choice", tc.n, g.Dense())
+		}
+		for v := 0; v < ref.N(); v++ {
+			if !reflect.DeepEqual(g.Neighbors(v), ref.Neighbors(v)) {
+				t.Fatalf("n=%d: Neighbors(%d) = %v, want %v", tc.n, v, g.Neighbors(v), ref.Neighbors(v))
+			}
+			if !reflect.DeepEqual(g.ClosedNeighborhood(v), ref.ClosedNeighborhood(v)) {
+				t.Fatalf("n=%d: ClosedNeighborhood(%d) = %v, want %v", tc.n, v, g.ClosedNeighborhood(v), ref.ClosedNeighborhood(v))
+			}
+			for _, u := range ref.Neighbors(v) {
+				if !g.HasEdge(u, v) {
+					t.Fatalf("n=%d: HasEdge(%d,%d) = false", tc.n, u, v)
+				}
+			}
+		}
+		// The result must behave like any other graph under further mutation.
+		free := -1
+		for u := 0; u < g.N() && free < 0 && u < 100; u++ {
+			for v := u + 1; v < g.N(); v++ {
+				if !g.HasEdge(u, v) {
+					free = u*g.N() + v
+					break
+				}
+			}
+		}
+		if free >= 0 {
+			u, v := free/g.N(), free%g.N()
+			g.MustAddEdge(u, v)
+			for _, w := range []int{u, v, u + 1} {
+				if got, want := g.ClosedNeighborhood(w), recomputeClosed(g, w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d: closed row %d stale after post-bulk AddEdge: %v want %v", tc.n, w, got, want)
+				}
+			}
 		}
 	}
 }
 
-func TestNewFromBitRowsRejectsBadMatrices(t *testing.T) {
+func TestNewFromUpperRejectsBadInput(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {
@@ -117,15 +144,11 @@ func TestNewFromBitRowsRejectsBadMatrices(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("wrong length", func() { NewFromBitRows(3, make([]uint64, 2)) })
-	expectPanic("self-loop", func() {
-		rows := make([]uint64, 3)
-		rows[1] = 1 << 1
-		NewFromBitRows(3, rows)
-	})
-	expectPanic("asymmetric", func() {
-		rows := make([]uint64, 3)
-		rows[0] = 1 << 2 // 0->2 without 2->0
-		NewFromBitRows(3, rows)
-	})
+	expectPanic("wrong offsets length", func() { NewFromUpper(3, []int{0, 0}, nil) })
+	expectPanic("offsets miss entries", func() { NewFromUpper(3, []int{0, 0, 0, 0}, []int{1}) })
+	expectPanic("self-loop", func() { NewFromUpper(3, []int{0, 0, 1, 1}, []int{1}) })
+	expectPanic("lower neighbour", func() { NewFromUpper(3, []int{0, 0, 0, 1}, []int{0}) })
+	expectPanic("out of range", func() { NewFromUpper(3, []int{0, 1, 1, 1}, []int{3}) })
+	expectPanic("unsorted row", func() { NewFromUpper(3, []int{0, 2, 2, 2}, []int{2, 1}) })
+	expectPanic("duplicate", func() { NewFromUpper(3, []int{0, 2, 2, 2}, []int{1, 1}) })
 }

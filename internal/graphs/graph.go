@@ -11,7 +11,6 @@ package graphs
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -129,70 +128,60 @@ func (g *Graph) Dense() bool { return g.bits != nil || g.n == 0 }
 // the row length callers of OrClosedInto must allocate.
 func (g *Graph) Words() int { return g.words }
 
-// NewFromBitRows builds a graph directly from a symmetric adjacency bit
-// matrix: n rows of (n+63)/64 words each, row v starting at v*words, bit u
-// of row v set iff {u, v} is an edge. The matrix must be symmetric with an
-// empty diagonal (it panics otherwise — the input is produced by
-// construction code, not parsed from users), and the graph takes ownership
-// of rows. Bulk builders such as the strategy-graph kernel use this to
-// materialise thousands of edges with three exact-size allocations instead
-// of per-edge sorted inserts.
-func NewFromBitRows(n int, rows []uint64) *Graph {
-	if n < 0 {
-		panic("graphs: negative vertex count")
+// NewFromUpper builds a graph from its upper triangle in compressed rows:
+// up[start[v]:start[v+1]] lists, in increasing order, the neighbours of v
+// greater than v, and start has n+1 entries. The representation follows
+// New: the bit matrix is kept up to DenseVertexLimit vertices and dropped
+// above it. The input is produced by construction code, not parsed from
+// users, so a malformed row panics. Bulk builders such as the
+// strategy-graph kernel use this to materialise every edge with a few
+// exact-size allocations instead of per-edge sorted inserts.
+func NewFromUpper(n int, start, up []int) *Graph {
+	if n < 0 || len(start) != n+1 || start[0] != 0 || start[n] != len(up) {
+		panic(fmt.Sprintf("graphs: NewFromUpper needs %d monotone row offsets over %d entries", n+1, len(up)))
 	}
-	words := (n + 63) / 64
-	if len(rows) != n*words {
-		panic(fmt.Sprintf("graphs: NewFromBitRows needs %d words, got %d", n*words, len(rows)))
-	}
-	g := &Graph{
-		n:      n,
-		adj:    make([][]int, n),
-		closed: make([][]int, n),
-		words:  words,
-	}
-	if n == 0 {
-		return g
-	}
-	g.bits = make([][]uint64, n)
-	total := 0
+	g := New(n)
+	next := make([]int, n+1) // degrees, then each row's next adjacency slot
 	for v := 0; v < n; v++ {
-		row := rows[v*words : (v+1)*words]
-		g.bits[v] = row
-		total += CountWords(row)
-		if row[v/64]&(1<<(uint(v)%64)) != 0 {
-			panic(fmt.Sprintf("graphs: NewFromBitRows row %d has a self-loop", v))
+		prev := v
+		for _, u := range up[start[v]:start[v+1]] {
+			if u <= prev || u >= n {
+				panic(fmt.Sprintf("graphs: NewFromUpper row %d is not strictly increasing within (%d, %d)", v, v, n))
+			}
+			prev = u
+			next[u+1]++
 		}
+		next[v+1] += start[v+1] - start[v]
 	}
-	adjBacking := make([]int, 0, total)
-	closedBacking := make([]int, 0, total+n)
 	for v := 0; v < n; v++ {
-		row := rows[v*words : (v+1)*words]
-		adjStart, closedStart := len(adjBacking), len(closedBacking)
-		placedSelf := false
-		for wi, w := range row {
-			base := wi * 64
-			for w != 0 {
-				u := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				if u >= v && !placedSelf {
-					closedBacking = append(closedBacking, v)
-					placedSelf = true
-				}
-				if g.bits[u][v/64]&(1<<(uint(v)%64)) == 0 {
-					panic(fmt.Sprintf("graphs: NewFromBitRows matrix not symmetric at (%d,%d)", v, u))
-				}
-				adjBacking = append(adjBacking, u)
-				closedBacking = append(closedBacking, u)
+		next[v+1] += next[v]
+	}
+	// Row v of the adjacency backing starts at next[v], and its closed row
+	// v entries later, after one self entry per earlier row. Visiting v in
+	// increasing order places every lower neighbour of a row before its
+	// self entry and upper neighbours, so each row comes out sorted.
+	adjBacking := make([]int, 2*len(up))
+	closedBacking := make([]int, 2*len(up)+n)
+	for v := 0; v < n; v++ {
+		g.adj[v] = adjBacking[next[v]:next[v+1]:next[v+1]]
+		g.closed[v] = closedBacking[next[v]+v : next[v+1]+v+1 : next[v+1]+v+1]
+	}
+	for v := 0; v < n; v++ {
+		closedBacking[next[v]+v] = v
+		for _, u := range up[start[v]:start[v+1]] {
+			adjBacking[next[v]] = u
+			closedBacking[next[v]+v+1] = u
+			next[v]++
+			adjBacking[next[u]] = v
+			closedBacking[next[u]+u] = v
+			next[u]++
+			if g.bits != nil {
+				g.bits[v][u>>6] |= 1 << (uint(u) & 63)
+				g.bits[u][v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
-		if !placedSelf {
-			closedBacking = append(closedBacking, v)
-		}
-		g.adj[v] = adjBacking[adjStart:len(adjBacking):len(adjBacking)]
-		g.closed[v] = closedBacking[closedStart:len(closedBacking):len(closedBacking)]
 	}
-	g.m = total / 2
+	g.m = len(up)
 	return g
 }
 

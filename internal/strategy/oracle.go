@@ -3,7 +3,7 @@ package strategy
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Oracle solves the per-round combinatorial problem of DFL-CSR:
@@ -47,27 +47,39 @@ type GreedyOracle struct {
 // Name implements Oracle.
 func (o GreedyOracle) Name() string { return fmt.Sprintf("greedy%d", o.Size) }
 
-// ArgmaxClosure implements Oracle.
+// The greedy pass keeps its chosen arms and its covered-arm bitset on the
+// stack up to these sizes; a larger Size or K allocates per call.
+const (
+	greedyStackArms  = 64
+	greedyStackWords = 16 // K ≤ 1024
+)
+
+// ArgmaxClosure implements Oracle. It keeps no state and, for Size ≤ 64
+// and K ≤ 1024, allocates nothing, so one Set serves concurrent callers.
 func (o GreedyOracle) ArgmaxClosure(s *Set, w []float64) int {
 	if o.Size <= 0 {
 		return ExactOracle{}.ArgmaxClosure(s, w)
 	}
 	g := s.Graph()
 	k := s.K()
-	covered := make([]bool, k)
-	chosen := make([]int, 0, o.Size)
-	inSet := make([]bool, k)
+	var armBuf [greedyStackArms]int
+	var covBuf [greedyStackWords]uint64
+	chosen := armBuf[:0]
+	covered := covBuf[:]
+	if words := (k + 63) / 64; words > len(covBuf) {
+		covered = make([]uint64, words)
+	}
 	for len(chosen) < o.Size && len(chosen) < k {
 		bestArm := -1
 		bestInf := 0
 		bestGain := math.Inf(-1)
 		for a := 0; a < k; a++ {
-			if inSet[a] {
+			if slices.Contains(chosen, a) {
 				continue
 			}
 			inf, gain := 0, 0.0
 			for _, j := range g.ClosedNeighborhood(a) {
-				if covered[j] {
+				if covered[j>>6]&(1<<(uint(j)&63)) != 0 {
 					continue
 				}
 				if math.IsInf(w[j], 1) {
@@ -84,12 +96,8 @@ func (o GreedyOracle) ArgmaxClosure(s *Set, w []float64) int {
 			break
 		}
 		chosen = append(chosen, bestArm)
-		inSet[bestArm] = true
-		for _, j := range g.ClosedNeighborhood(bestArm) {
-			covered[j] = true
-		}
+		g.OrClosedInto(covered, bestArm)
 	}
-	sort.Ints(chosen)
 	if x, ok := s.IndexOf(chosen); ok {
 		return x
 	}

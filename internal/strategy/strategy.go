@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,17 +31,14 @@ type Set struct {
 	graph  *graphs.Graph // never nil after construction (empty graph if none given)
 	arms   [][]int
 	closed [][]int
-	index  map[string]int // canonical arm-set key -> strategy index
 	name   string
 	maxY   int
-	maxM   int // max strategy size, for kernel selection in BuildStrategyGraph
+	maxM   int
 
-	// Bitset views of arms and closed, one words-length row per strategy
-	// carved from a shared backing array. BuildStrategyGraph's subset tests
-	// run on these rows in O(K/64) words instead of merging sorted slices.
-	words       int
-	armBits     []uint64
-	closureBits []uint64
+	// First-arm buckets: byFirst[firstStart[a]:firstStart[a+1]] lists, in
+	// increasing order, the strategies whose smallest arm is a.
+	byFirst    []int
+	firstStart []int
 }
 
 // NewExplicit builds a Set from caller-supplied strategies. The graph may
@@ -63,18 +61,15 @@ func NewExplicit(k int, strategies [][]int, g *graphs.Graph) (*Set, error) {
 	if len(strategies) > MaxEnumerable {
 		return nil, fmt.Errorf("strategy: %d strategies exceeds enumeration cap %d", len(strategies), MaxEnumerable)
 	}
-	words := (k + 63) / 64
 	s := &Set{
-		k:           k,
-		graph:       g,
-		arms:        make([][]int, 0, len(strategies)),
-		closed:      make([][]int, 0, len(strategies)),
-		index:       make(map[string]int, len(strategies)),
-		name:        "explicit",
-		words:       words,
-		armBits:     make([]uint64, len(strategies)*words),
-		closureBits: make([]uint64, len(strategies)*words),
+		k:      k,
+		graph:  g,
+		arms:   make([][]int, 0, len(strategies)),
+		closed: make([][]int, 0, len(strategies)),
+		name:   "explicit",
 	}
+	index := make(map[string]int, len(strategies)) // canonical arm-set key -> strategy index
+	row := make([]uint64, (k+63)/64)               // Y_x scratch, cleared after each strategy
 	for xi, raw := range strategies {
 		a := append([]int(nil), raw...)
 		sort.Ints(a)
@@ -90,19 +85,18 @@ func NewExplicit(k int, strategies [][]int, g *graphs.Graph) (*Set, error) {
 			}
 		}
 		key := canonicalKey(a)
-		if prev, dup := s.index[key]; dup {
+		if prev, dup := index[key]; dup {
 			return nil, fmt.Errorf("strategy: strategy %d duplicates strategy %d", xi, prev)
 		}
-		x := len(s.arms)
-		s.index[key] = x
+		index[key] = len(s.arms)
 		s.arms = append(s.arms, a)
-		ab := s.armBits[x*words : (x+1)*words]
-		cb := s.closureBits[x*words : (x+1)*words]
 		for _, arm := range a {
-			ab[arm/64] |= 1 << (uint(arm) % 64)
-			g.OrClosedInto(cb, arm)
+			g.OrClosedInto(row, arm)
 		}
-		cl := bitsetToSorted(cb)
+		cl := bitsetToSorted(row)
+		for _, v := range cl {
+			row[v>>6] = 0
+		}
 		s.closed = append(s.closed, cl)
 		if len(cl) > s.maxY {
 			s.maxY = len(cl)
@@ -110,6 +104,21 @@ func NewExplicit(k int, strategies [][]int, g *graphs.Graph) (*Set, error) {
 		if len(a) > s.maxM {
 			s.maxM = len(a)
 		}
+	}
+	// Counting sort by smallest arm; a stable pass keeps each bucket in
+	// increasing strategy order.
+	s.firstStart = make([]int, k+1)
+	for _, a := range s.arms {
+		s.firstStart[a[0]+1]++
+	}
+	for a := 0; a < k; a++ {
+		s.firstStart[a+1] += s.firstStart[a]
+	}
+	next := append([]int(nil), s.firstStart[:k]...)
+	s.byFirst = make([]int, len(s.arms))
+	for x, a := range s.arms {
+		s.byFirst[next[a[0]]] = x
+		next[a[0]]++
 	}
 	return s, nil
 }
@@ -333,28 +342,48 @@ func (s *Set) MaxClosureSize() int { return s.maxY }
 // MaxArms returns M = max_x |s_x|, the largest strategy size in the family.
 func (s *Set) MaxArms() int { return s.maxM }
 
-// Words returns the number of uint64 words per arm/closure bitset row.
-func (s *Set) Words() int { return s.words }
-
-// ArmBits returns the bitset of strategy x's component arms. The row is
-// shared; callers must not modify it.
-func (s *Set) ArmBits(x int) []uint64 {
-	return s.armBits[x*s.words : (x+1)*s.words]
-}
-
-// ClosureBits returns the bitset of Y_x. The row is shared; callers must
-// not modify it.
-func (s *Set) ClosureBits(x int) []uint64 {
-	return s.closureBits[x*s.words : (x+1)*s.words]
+// WithFirstArm returns, in increasing order, the strategies whose
+// smallest arm is a. The slice is shared; callers must not modify it.
+func (s *Set) WithFirstArm(a int) []int {
+	return s.byFirst[s.firstStart[a]:s.firstStart[a+1]]
 }
 
 // IndexOf returns the index of the strategy with exactly the given arms
-// (order-insensitive), or ok=false if the family does not contain it.
+// (order-insensitive), or ok=false if the family does not contain it. It
+// scans the strategies sharing the query's smallest arm and allocates
+// nothing.
 func (s *Set) IndexOf(arms []int) (x int, ok bool) {
-	a := append([]int(nil), arms...)
-	sort.Ints(a)
-	x, ok = s.index[canonicalKey(a)]
-	return x, ok
+	if len(arms) == 0 {
+		return 0, false
+	}
+	lo := arms[0]
+	for _, a := range arms[1:] {
+		lo = min(lo, a)
+	}
+	if lo < 0 || lo >= s.k {
+		return 0, false
+	}
+	for _, y := range s.WithFirstArm(lo) {
+		if sameArms(s.arms[y], arms) {
+			return y, true
+		}
+	}
+	return 0, false
+}
+
+// sameArms reports whether the sorted, duplicate-free row holds exactly
+// the arms of query, in any order: with equal lengths, a query holding
+// every row arm cannot repeat an arm or hold another.
+func sameArms(row, query []int) bool {
+	if len(row) != len(query) {
+		return false
+	}
+	for _, a := range row {
+		if !slices.Contains(query, a) {
+			return false
+		}
+	}
+	return true
 }
 
 // DirectMean returns λ_x = Σ_{i∈s_x} w_i for the given per-arm values.
