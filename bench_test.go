@@ -8,6 +8,7 @@ package netbandit_test
 // benches should show MOSS well above DFL-SSO.
 
 import (
+	"context"
 	"testing"
 
 	"netbandit"
@@ -382,4 +383,40 @@ func BenchmarkCombLinUCBRound(b *testing.B) {
 // the batched counter normals plus the strategy scan.
 func BenchmarkCtxThompsonRound(b *testing.B) {
 	ctxSteadyRound(b, netbandit.NewCombCtxThompson(0.5, netbandit.ObjectiveDirect, netbandit.NewRNG(14)))
+}
+
+// BenchmarkContextualSweepCell runs the contextual half of the
+// repository benchmark's sweep_combo pass through the sweep engine (op =
+// one pass): a K=20 G(n, 0.3) axis with d=4 linear rewards and the
+// all-2-subsets family, CombLinUCB and CombCtxThompson, 13 replications
+// of 2000 rounds each on 2 workers. Unlike the round benchmarks above,
+// which pass no ComboCache, every replication here shares its axis's
+// cache, per-round optimum table included.
+func BenchmarkContextualSweepCell(b *testing.B) {
+	const k, m, d, n, reps = 20, 2, 4, 2000, 13
+	var pols []netbandit.PolicySpec
+	for _, name := range []string{"linucb", "ctx-thompson"} {
+		spec, err := netbandit.NewPolicySpec(name, netbandit.CSO)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pols = append(pols, spec)
+	}
+	sw := netbandit.Sweep{
+		Name:     "ctx-cell",
+		Envs:     []netbandit.EnvSpec{netbandit.ContextualGnpEnv("gnp(0.3)+ctx4", netbandit.CSO, k, m, d, 0.3)},
+		Policies: pols,
+		Config:   netbandit.Config{Horizon: n, AnnounceHorizon: true},
+		Reps:     reps,
+		Seed:     1,
+		Workers:  2,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sw.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pols)*reps*n), "ns/round")
 }

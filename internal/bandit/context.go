@@ -174,12 +174,14 @@ func (e *ContextualEnv) Context(t int, rc *RoundContext) *RoundContext {
 	return rc
 }
 
-// MeanAt returns p_i(t) = θ · x_i(t) for the round described by rc.
+// MeanAt returns p_i(t) = θ · x_i(t) for the round described by rc. Each
+// product is rounded by an explicit float64 conversion, so architectures
+// with fused multiply-add compute the same bits as amd64.
 func (e *ContextualEnv) MeanAt(rc *RoundContext, i int) float64 {
 	x := rc.Arm(i)
 	var p float64
 	for j, w := range e.theta {
-		p += w * x[j]
+		p += float64(w * x[j])
 	}
 	return p
 }

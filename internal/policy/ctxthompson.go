@@ -75,14 +75,16 @@ func (p *CtxThompson) Select(t int, rc *bandit.RoundContext) int {
 		x := rc.Arm(i)
 		var s float64
 		for j, th := range p.thetaT {
-			s += th * x[j]
+			s += float64(th * x[j])
 		}
 		p.scores[i] = s
 	}
 	return bandit.ArgmaxFloat(p.scores)
 }
 
-// samplePosterior fills thetaT with the round-t posterior draw.
+// samplePosterior fills thetaT with the round-t posterior draw. Products
+// here and in the score loops are rounded by float64(...) before each add,
+// blocking fused multiply-add (see linModel).
 func (p *CtxThompson) samplePosterior(t int) {
 	p.ctr.NormalsAt(uint64(t), p.z)
 	copy(p.thetaT, p.m.theta)
@@ -94,9 +96,9 @@ func (p *CtxThompson) samplePosterior(t int) {
 		var s float64
 		row := p.chol[i*d : i*d+i+1]
 		for j, l := range row {
-			s += l * p.z[j]
+			s += float64(l * p.z[j])
 		}
-		p.thetaT[i] += p.V * s
+		p.thetaT[i] += float64(p.V * s)
 	}
 }
 
@@ -105,6 +107,7 @@ func (p *CtxThompson) Update(_ int, _ int, obs []bandit.Observation) {
 	for _, o := range obs {
 		p.m.add(p.rc.Arm(o.Arm), o.Value)
 	}
+	p.m.refresh()
 }
 
 var _ bandit.SinglePolicy = (*CtxThompson)(nil)
@@ -164,7 +167,7 @@ func (p *CombCtxThompson) Select(t int, rc *bandit.RoundContext) int {
 		x := rc.Arm(i)
 		var s float64
 		for j, th := range p.inner.thetaT {
-			s += th * x[j]
+			s += float64(th * x[j])
 		}
 		p.index[i] = s
 	}

@@ -57,9 +57,11 @@ func (p *LinUCB) Select(_ int, rc *bandit.RoundContext) int {
 		panic("policy: LinUCB.Select needs a round context (contextual environment)")
 	}
 	p.rc = rc
+	// float64(...) rounds the product before the add, blocking fused
+	// multiply-add (see linModel).
 	for i := 0; i < p.k; i++ {
 		est, varx := p.m.score(rc.Arm(i))
-		p.scores[i] = est + p.Alpha*math.Sqrt(varx)
+		p.scores[i] = est + float64(p.Alpha*math.Sqrt(varx))
 	}
 	return bandit.ArgmaxFloat(p.scores)
 }
@@ -70,6 +72,7 @@ func (p *LinUCB) Update(_ int, _ int, obs []bandit.Observation) {
 	for _, o := range obs {
 		p.m.add(p.rc.Arm(o.Arm), o.Value)
 	}
+	p.m.refresh()
 }
 
 var _ bandit.SinglePolicy = (*LinUCB)(nil)
@@ -134,7 +137,7 @@ func (p *CombLinUCB) Select(_ int, rc *bandit.RoundContext) int {
 	p.rc = rc
 	for i := 0; i < p.k; i++ {
 		est, varx := p.m.score(rc.Arm(i))
-		p.index[i] = est + p.Alpha*math.Sqrt(varx)
+		p.index[i] = est + float64(p.Alpha*math.Sqrt(varx))
 	}
 	x, _ := p.set.Argmax(p.index, p.Objective == Closure)
 	return x
@@ -146,6 +149,7 @@ func (p *CombLinUCB) Update(_ int, _ int, obs []bandit.Observation) {
 	for _, o := range obs {
 		p.m.add(p.rc.Arm(o.Arm), o.Value)
 	}
+	p.m.refresh()
 }
 
 var _ bandit.ComboPolicy = (*CombLinUCB)(nil)

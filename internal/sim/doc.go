@@ -16,8 +16,9 @@
 //   - Replication (replicate.go): ReplicateSingle/ReplicateCombo run many
 //     replications of one cell on a bounded worker pool and fold the
 //     regret curves into an Aggregate. ComboCache shares per-cell
-//     precomputation (arm means, scenario optima, the strategy relation
-//     graph) read-only across replications.
+//     precomputation (arm means, scenario optima or, in contextual cells,
+//     a table of per-round optima, and the strategy relation graph)
+//     across replications.
 //   - Sweeps (sweep.go): a Sweep is the Cartesian product of environment,
 //     policy, and configuration axes. Run executes the whole grid on one
 //     shared pool with streaming aggregation (peak retained series is

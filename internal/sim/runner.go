@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"netbandit/internal/bandit"
 	"netbandit/internal/core"
@@ -447,9 +448,14 @@ func RunContextualSingle(cenv *bandit.ContextualEnv, scen bandit.Scenario, pol b
 // that every replication of an experiment cell recomputed before this
 // cache existed: the arm means, both scenario optima, and — behind a
 // lazily built, concurrency-safe cache — the strategy relation graph
-// SG(F, L). Build it once per cell and pass it to RunComboCached; all
-// state is read-only after construction, so it is safe to share across
-// replication workers.
+// SG(F, L). Build it once per cell and pass it to RunComboCached; it is
+// safe to share across replication workers.
+//
+// A contextual cache holds per-round optima instead of fixed ones: a
+// table per objective of the best strategy's expected reward in rounds
+// 1..n, 8 B per round of the longest horizon run against the cache. A
+// table grows under a mutex when a run needs more rounds than it holds,
+// by a fresh copy, so a table already handed to a run is never written.
 type ComboCache struct {
 	env        *bandit.Env
 	cenv       *bandit.ContextualEnv // contextual cells: means/optima are per-round
@@ -458,33 +464,73 @@ type ComboCache struct {
 	optDirect  float64
 	optClosure float64
 	sg         *bandit.StrategyGraphCache
+
+	mu       sync.Mutex
+	roundOpt [2][]float64 // contextual cells: [objective][t-1] = round t's optimum
 }
 
 // NewComboCache precomputes the per-cell quantities for env and set. The
 // strategy graph itself is deferred until a policy first asks for it.
 func NewComboCache(env *bandit.Env, set *strategy.Set) *ComboCache {
 	means := env.Means()
-	_, optDirect := set.BestDirect(means)
-	_, optClosure := set.BestClosure(means)
 	return &ComboCache{
 		env:        env,
 		set:        set,
 		means:      means,
-		optDirect:  optDirect,
-		optClosure: optClosure,
+		optDirect:  strategyOptimum(set, bandit.CSO, means),
+		optClosure: strategyOptimum(set, bandit.CSR, means),
 		sg:         bandit.NewStrategyGraphCache(func() *graphs.Graph { return core.BuildStrategyGraph(set) }),
 	}
 }
 
 // NewContextualComboCache is NewComboCache for a contextual cell: means
-// and scenario optima move with the round, so only the strategy relation
-// graph is worth sharing across replications.
+// and scenario optima move with the round, so the cache shares the
+// strategy relation graph and a lazily filled table of per-round optima.
 func NewContextualComboCache(cenv *bandit.ContextualEnv, set *strategy.Set) *ComboCache {
 	return &ComboCache{
 		cenv: cenv,
 		set:  set,
 		sg:   bandit.NewStrategyGraphCache(func() *graphs.Graph { return core.BuildStrategyGraph(set) }),
 	}
+}
+
+// strategyOptimum is the regret benchmark under means: the best feasible
+// strategy's expected reward by the scenario's objective (closure sum for
+// CSR, direct sum otherwise).
+func strategyOptimum(set *strategy.Set, scen bandit.Scenario, means []float64) float64 {
+	if scen == bandit.CSR {
+		_, opt := set.BestClosure(means)
+		return opt
+	}
+	_, opt := set.BestDirect(means)
+	return opt
+}
+
+// roundOptima returns a contextual cache's per-round optima for scen,
+// holding at least n rounds: entry t-1 is strategyOptimum under round t's
+// means. The caller must not modify the slice.
+func (cc *ComboCache) roundOptima(scen bandit.Scenario, n int) []float64 {
+	obj := 0
+	if scen == bandit.CSR {
+		obj = 1
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	held := cc.roundOpt[obj]
+	if len(held) >= n {
+		return held
+	}
+	table := make([]float64, n)
+	copy(table, held)
+	var rc *bandit.RoundContext
+	var means []float64
+	for t := len(held) + 1; t <= n; t++ {
+		rc = cc.cenv.Context(t, rc)
+		means = cc.cenv.MeansAt(rc, means)
+		table[t-1] = strategyOptimum(cc.set, scen, means)
+	}
+	cc.roundOpt[obj] = table
+	return table
 }
 
 // StrategyGraph returns the shared SG(F, L), building it on first use.
@@ -511,10 +557,13 @@ type ComboRun struct {
 	pending int // strategy of the open round, -1 when none (see Decide)
 
 	// Contextual mode (cenv non-nil): see SingleRun. means then aliases
-	// rmeans and is refilled every Decide.
+	// rmeans and is refilled every Decide. opt, set when the run shares a
+	// ComboCache, holds the per-round regret optima (opt[t-1] for round
+	// t); without it each round scores the whole strategy set itself.
 	cenv   *bandit.ContextualEnv
 	rc     *bandit.RoundContext
 	rmeans []float64
+	opt    []float64
 }
 
 // NewComboRun validates, resets the policy, and returns a stepper
@@ -557,11 +606,7 @@ func NewComboRun(env *bandit.Env, set *strategy.Set, scen bandit.Scenario, pol b
 		}
 	} else {
 		means = env.Means()
-		if scen == bandit.CSR {
-			_, optimal = set.BestClosure(means)
-		} else {
-			_, optimal = set.BestDirect(means)
-		}
+		optimal = strategyOptimum(set, scen, means)
 	}
 	pol.Reset(meta)
 	return &ComboRun{
@@ -586,7 +631,8 @@ func NewComboRun(env *bandit.Env, set *strategy.Set, scen bandit.Scenario, pol b
 // Decide derives the round's feature context and expected-reward vector,
 // hands the context to the policy, and accounts regret against the
 // per-round best strategy. cache may be nil or a NewContextualComboCache
-// for the same (cenv, set) pair.
+// for the same (cenv, set) pair; with a cache the per-round optima come
+// from its table, extended to cfg.Horizon rounds here if it is shorter.
 func NewContextualComboRun(cenv *bandit.ContextualEnv, set *strategy.Set, scen bandit.Scenario, pol bandit.ComboPolicy, cfg Config, r *rng.RNG, cache *ComboCache) (*ComboRun, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -612,8 +658,10 @@ func NewContextualComboRun(cenv *bandit.ContextualEnv, set *strategy.Set, scen b
 		Scenario:   scen,
 		Dim:        cenv.D(),
 	}
+	var opt []float64
 	if cache != nil {
 		meta.SharedSG = cache.sg
+		opt = cache.roundOptima(scen, cfg.Horizon)
 	}
 	pol.Reset(meta)
 	rmeans := make([]float64, cenv.K())
@@ -629,6 +677,7 @@ func NewContextualComboRun(cenv *bandit.ContextualEnv, set *strategy.Set, scen b
 		out:     newSeries(pol.Name(), cfg.checkpoints()),
 		means:   rmeans, // closeRound reads the round's means through cr.means
 		rmeans:  rmeans,
+		opt:     opt,
 		xs:      make([]float64, cenv.K()),
 		obs:     make([]bandit.Observation, 0, cenv.K()),
 		pending: -1,
@@ -775,13 +824,12 @@ func (cr *ComboRun) closeRound(obs []bandit.Observation) {
 		realized = bandit.SumValues(cr.xs, cr.set.Arms(x))
 	}
 	if cr.cenv != nil {
-		// The benchmark strategy moves with the context: score the whole
-		// feasible set under this round's means.
+		// The benchmark strategy moves with the context.
 		var optimal float64
-		if cr.scen == bandit.CSR {
-			_, optimal = cr.set.BestClosure(cr.rmeans)
+		if cr.opt != nil {
+			optimal = cr.opt[t-1]
 		} else {
-			_, optimal = cr.set.BestDirect(cr.rmeans)
+			optimal = strategyOptimum(cr.set, cr.scen, cr.rmeans)
 		}
 		cr.tracker.RecordVs(optimal, chosenMean, realized)
 	} else {

@@ -80,7 +80,9 @@ type (
 	// ComboRun steps one combinatorial replication round by round.
 	ComboRun = sim.ComboRun
 	// ComboCache shares per-cell precomputation (means, optima, strategy
-	// relation graph) read-only across replications.
+	// relation graph) across replications. A contextual cache also holds
+	// the per-round optima, 8 B per round of the longest horizon run
+	// against it.
 	ComboCache = sim.ComboCache
 	// StrategyGraphCache lazily builds one shared SG(F, L) per cell.
 	StrategyGraphCache = bandit.StrategyGraphCache
@@ -633,7 +635,9 @@ func NewContextualComboRun(cenv *ContextualEnv, set *StrategySet, scen Scenario,
 }
 
 // NewContextualComboCache shares the lazily built strategy relation graph
-// across replications of one contextual combinatorial cell.
+// and a lazily filled table of per-round regret optima (8 B per round of
+// the longest horizon run against it) across replications of one
+// contextual combinatorial cell.
 func NewContextualComboCache(cenv *ContextualEnv, set *StrategySet) *ComboCache {
 	return sim.NewContextualComboCache(cenv, set)
 }
